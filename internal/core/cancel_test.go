@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -301,5 +302,57 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if _, err := s.Schedule(ctx, &Request{Scenario: &sc, MCM: pkg}); err == nil {
 		t.Error("request without objective accepted")
+	}
+}
+
+// TestTreeSearchInteriorStopPoll: once the search has an incumbent, stop
+// is polled between leaves too, so a cancelled search does not walk out
+// a dead-end region first. The package is a 9-chiplet chain (the only
+// 9-chiplet path, found first) plus a 7-chiplet clique hanging off the
+// chain's head, where thousands of partial paths never reach 9 chiplets.
+func TestTreeSearchInteriorStopPoll(t *testing.T) {
+	const n = 16
+	adj := make([][]bool, n)
+	for i := range adj {
+		adj[i] = make([]bool, n)
+	}
+	link := func(a, b int) { adj[a][b], adj[b][a] = true, true }
+	for c := 0; c+1 < 9; c++ {
+		link(c, c+1)
+	}
+	for a := 9; a < n; a++ {
+		link(0, a)
+		for b := a + 1; b < n; b++ {
+			link(a, b)
+		}
+	}
+	plans := []modelPlan{{model: 0, r: layerRange{First: 0, Last: 8}, ends: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}}}
+	evalWin := func([]eval.Segment) eval.WindowMetrics { return eval.WindowMetrics{LatencySec: 1, EnergyJ: 1} }
+	search := func(stop func() bool) treeResult {
+		return treeSearch(evalWin, stepTargets(adj, false), plans, EDPObjective(), 1, 100, rand.New(rand.NewSource(1)), stop)
+	}
+
+	full := search(nil)
+	if full.aborted || full.evals != 1 || full.visits <= 9+stopPollVisits {
+		t.Fatalf("uncancelled search: aborted %v, %d evals, %d visits; want one leaf and over %d visits",
+			full.aborted, full.evals, full.visits, 9+stopPollVisits)
+	}
+
+	// The context is cancelled, but the poll right after the leaf still
+	// sees it live (as when cancellation lands just after that poll).
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	polls := 0
+	res := search(func() bool {
+		polls++
+		return polls > 1 && ctx.Err() != nil
+	})
+	if !res.aborted || !res.found || res.evals != 1 {
+		t.Fatalf("cancelled search: aborted %v, found %v, %d evals; want an aborted search keeping its one leaf",
+			res.aborted, res.found, res.evals)
+	}
+	if res.visits > 9+stopPollVisits {
+		t.Errorf("cancelled search took %d visits, want at most %d (the leaf's 9 plus one poll period)",
+			res.visits, 9+stopPollVisits)
 	}
 }

@@ -367,7 +367,7 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 	evalWin := func(segs []eval.Segment) eval.WindowMetrics {
 		return ev.Window(eval.TimeWindow{Segments: segs})
 	}
-	res := treeSearch(evalWin, pkg.AdjacencyMatrix(), pkg.NumChiplets(), plans, EDPObjective(), 30, 500, rng, false, nil)
+	res := treeSearch(evalWin, stepTargets(pkg.AdjacencyMatrix(), false), plans, EDPObjective(), 30, 500, rng, nil)
 	if !res.found {
 		t.Fatal("tree search found nothing")
 	}

@@ -66,7 +66,11 @@ func buildEvoGenome(active []int, ranges []layerRange, allocs []int, chiplets in
 // mapping is infeasible (occupied root or dead-end path).
 func (g evoGenome) decode(genes []int, m intGraph) ([]eval.Segment, bool) {
 	used := make([]bool, m.n)
-	var segs []eval.Segment
+	n := 0
+	for i := range g.active {
+		n += g.rootAt[i] - g.cutsAt[i] + 1 // a segment per cut gene, plus one
+	}
+	segs := make([]eval.Segment, 0, n)
 	// Assign models in descending allocation order so constrained
 	// subtrees claim chiplets first, mirroring the tree search.
 	order := make([]int, len(g.active))
@@ -104,7 +108,7 @@ func (g evoGenome) decode(genes []int, m intGraph) ([]eval.Segment, bool) {
 			used[c] = true
 		}
 		plan := modelPlan{model: g.active[i], r: g.ranges[i], ends: ends}
-		segs = append(segs, plan.segmentsFor(path)...)
+		segs = plan.appendSegments(segs, path)
 	}
 	return segs, true
 }

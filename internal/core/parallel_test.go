@@ -37,6 +37,9 @@ func assertResultsIdentical(t *testing.T, label string, a, b *Result) {
 	if a.UniqueWindows != b.UniqueWindows {
 		t.Errorf("%s: unique windows %d vs %d", label, a.UniqueWindows, b.UniqueWindows)
 	}
+	if a.TreeVisits != b.TreeVisits {
+		t.Errorf("%s: tree visits %d vs %d", label, a.TreeVisits, b.TreeVisits)
+	}
 	if !reflect.DeepEqual(a.Explored, b.Explored) {
 		t.Errorf("%s: explored clouds differ (%d vs %d entries)", label, len(a.Explored), len(b.Explored))
 	}

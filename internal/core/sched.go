@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -26,12 +27,14 @@ type modelPlan struct {
 
 func (p modelPlan) numSegments() int { return len(p.ends) }
 
-// segmentsFor expands the plan into eval Segments along a chiplet path.
-func (p modelPlan) segmentsFor(path []int) []eval.Segment {
-	segs := make([]eval.Segment, 0, len(p.ends))
+// appendSegments appends the plan's eval Segments along a chiplet path
+// (segment q runs on path[q]) to dst.
+//
+//scar:hotpath
+func (p modelPlan) appendSegments(dst []eval.Segment, path []int) []eval.Segment {
 	start := 0
 	for q, end := range p.ends {
-		segs = append(segs, eval.Segment{
+		dst = append(dst, eval.Segment{ //scar:hotalloc callers size dst for every segment up front (the tree walker once per search, evoGenome.decode once per genome), so the append never grows
 			Model:   p.model,
 			First:   p.r.First + start,
 			Last:    p.r.First + end,
@@ -39,7 +42,7 @@ func (p modelPlan) segmentsFor(path []int) []eval.Segment {
 		})
 		start = end + 1
 	}
-	return segs
+	return dst
 }
 
 // treeResult is the best window schedule found by the tree search.
@@ -48,37 +51,62 @@ type treeResult struct {
 	metrics  eval.WindowMetrics
 	score    float64
 	evals    int
-	found    bool
+	// visits counts DFS steps: every time a model's path steps onto a
+	// chiplet, leaf or not. It is the enumerator's hardware-independent
+	// work count.
+	visits int
+	found  bool
 	// aborted marks a search cut short by its stop check with work
 	// remaining; segments (when found) is the incumbent at that point.
 	aborted bool
 }
 
+// stopPollVisits is the interior stop-poll period: once the search has
+// an incumbent, stop is polled every stopPollVisits DFS visits as well as
+// after every leaf, so dead-end subtrees cannot outrun a deadline. It
+// must be a power of two.
+const stopPollVisits = 1024
+
+// stepTargets lists, in ascending order, the chiplets a path may step to
+// from each chiplet: its interposer neighbors, or with freePlacement
+// every other chiplet (the mapping-locality ablation).
+func stepTargets(adj [][]bool, freePlacement bool) [][]int {
+	steps := make([][]int, len(adj))
+	for c := range adj {
+		for next := range adj[c] {
+			if (freePlacement || adj[c][next]) && next != c {
+				steps[c] = append(steps[c], next)
+			}
+		}
+	}
+	return steps
+}
+
 // treeSearch explores up to maxTrees scheduling trees with a total
 // evaluation budget, returning the best window schedule under the
 // objective. Plans are ordered internally by descending segment count so
-// the most constrained subtree claims chiplets first. When freePlacement
-// is set, paths may extend to any unoccupied chiplet instead of
-// interposer neighbors (the mapping-locality ablation).
+// the most constrained subtree claims chiplets first. Paths step from
+// each chiplet to its steps entry (see stepTargets), which carries the
+// package shape.
 //
 // The search itself is serial and self-contained — evalWin scores leaf
 // windows (in a run it is the memoizing run.window bound to this task's
 // worker scratch; it must not retain the segment slice, which the search
-// mutates while backtracking), adj/chiplets carry the package shape, rng
-// is the task's private stream — which is what lets the scheduler fan
-// many treeSearch calls out across workers.
+// mutates while backtracking), steps is read-only, rng is the task's
+// private stream — which is what lets the scheduler fan many treeSearch
+// calls out across workers.
 //
-// stop (optional) is polled after every leaf evaluation: once it reports
-// true the search unwinds and returns its incumbent with aborted set.
-// The first reachable leaf is always evaluated before stop is honored,
-// so a cancelled search still yields a feasible mapping whenever its
-// first DFS descent finds one — the anytime floor the scheduler's
+// stop (optional) is polled after every leaf evaluation and, once the
+// search has an incumbent, every stopPollVisits DFS visits: once it
+// reports true the search unwinds and returns its incumbent with aborted
+// set. The first reachable leaf is always evaluated before stop is
+// honored, so a cancelled search still yields a feasible mapping whenever
+// its first DFS descent finds one — the anytime floor the scheduler's
 // partial results build on. A nil or never-true stop leaves the search
 // byte-for-byte identical to the unstoppable version.
 func treeSearch(
-	evalWin func(segs []eval.Segment) eval.WindowMetrics, adj [][]bool, chiplets int,
-	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
-	stop func() bool,
+	evalWin func(segs []eval.Segment) eval.WindowMetrics, steps [][]int,
+	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, stop func() bool,
 ) treeResult {
 	ordered := make([]modelPlan, len(plans))
 	copy(ordered, plans)
@@ -86,7 +114,7 @@ func treeSearch(
 		return ordered[i].numSegments() > ordered[j].numSegments()
 	})
 
-	tuples := rootTuples(chiplets, len(ordered), maxTrees, rng)
+	tuples := rootTuples(len(steps), len(ordered), maxTrees, rng)
 	if len(tuples) == 0 {
 		return treeResult{}
 	}
@@ -95,109 +123,237 @@ func treeSearch(
 		perTree = 4
 	}
 
-	res := treeResult{score: math.Inf(1)}
-	used := make([]bool, chiplets)
-	segs := make([]eval.Segment, 0, 16)
-
+	w := newTreeWalker(evalWin, stop, obj, ordered, steps, budget)
 	for _, roots := range tuples {
-		if res.evals >= budget || res.aborted {
+		if w.res.evals >= budget || w.res.aborted {
 			break
 		}
-		left := perTree
-		var assign func(k int)
-		assign = func(k int) {
-			if left <= 0 || res.evals >= budget || res.aborted {
-				return
-			}
-			if k == len(ordered) {
-				wm := evalWin(segs)
-				score := obj.windowScore(wm)
-				res.evals++
-				left--
-				if score < res.score {
-					// Snapshot only improvements: segs' backing array
-					// is rewritten as the DFS backtracks.
-					res.score = score
-					res.metrics = wm
-					res.segments = append([]eval.Segment(nil), segs...)
-					res.found = true
-				}
-				if stop != nil && stop() {
-					res.aborted = true
-				}
-				return
-			}
-			plan := ordered[k]
-			root := roots[k]
-			if used[root] {
-				return
-			}
-			path := make([]int, 0, plan.numSegments())
-			var dfs func(cur int)
-			dfs = func(cur int) {
-				if left <= 0 || res.aborted {
-					return
-				}
-				used[cur] = true
-				path = append(path, cur)
-				if len(path) == plan.numSegments() {
-					n := len(segs)
-					segs = append(segs, plan.segmentsFor(path)...)
-					assign(k + 1)
-					segs = segs[:n]
-				} else {
-					for next := 0; next < len(adj[cur]); next++ {
-						if (freePlacement || adj[cur][next]) && !used[next] && next != cur {
-							dfs(next)
-						}
-					}
-				}
-				path = path[:len(path)-1]
-				used[cur] = false
-			}
-			dfs(root)
-		}
-		assign(0)
+		w.tree(roots, perTree)
 	}
-	return res
+	if w.res.found {
+		w.res.segments = w.best
+	}
+	return w.res
+}
+
+// treeWalker is the DFS state of one treeSearch call. Its buffers are
+// sized once by newTreeWalker, so the walk allocates nothing per visit or
+// per leaf.
+//
+// The walk evaluates the leaves of the plain constrained DFS (Figure 5)
+// in the same order; it only skips subtrees that hold no leaf. Step
+// targets come in ascending order, and a forward check guards every
+// step:
+//
+//   - no path steps onto a root of the current tree. An earlier model's
+//     root (or the model's own) is on a path already; a later model's
+//     root would leave that model without a start, so the subtree is
+//     dead. Roots are therefore marked taken for the whole tree.
+//   - a path that still needs to grow past the next chiplet only steps
+//     there if that chiplet has a step target left (open); a model
+//     whose path needs two or more chiplets only starts if its root is
+//     open.
+//
+// Budgets and the abort flag only change at leaves, so skipping dead
+// subtrees changes neither which leaves are evaluated nor their order.
+type treeWalker struct {
+	evalWin func(segs []eval.Segment) eval.WindowMetrics
+	stop    func() bool
+	obj     Objective
+	plans   []modelPlan // descending segment count
+	budget  int
+
+	steps [][]int        // ascending step targets of each chiplet
+	taken []bool         // chiplets on the current paths, and every root of the current tree
+	roots []int          // the current tree's root tuple, one per plan
+	paths [][]int        // per-model path buffer, one slot per segment
+	segs  []eval.Segment // segments of the completed paths, model by model
+	best  []eval.Segment // the incumbent's segments
+
+	// left is the current tree's remaining leaf budget; it is zeroed
+	// when the whole search must end (evaluation budget spent or stop
+	// reported), so one comparison gates every DFS step.
+	left int
+	res  treeResult
+}
+
+func newTreeWalker(
+	evalWin func(segs []eval.Segment) eval.WindowMetrics, stop func() bool, obj Objective,
+	plans []modelPlan, steps [][]int, budget int,
+) *treeWalker {
+	chiplets := len(steps)
+	w := &treeWalker{
+		evalWin: evalWin,
+		stop:    stop,
+		obj:     obj,
+		plans:   plans,
+		budget:  budget,
+		steps:   steps,
+		taken:   make([]bool, chiplets),
+		paths:   make([][]int, len(plans)),
+		res:     treeResult{score: math.Inf(1)},
+	}
+	total := 0
+	for k, p := range plans {
+		w.paths[k] = make([]int, p.numSegments())
+		total += p.numSegments()
+	}
+	w.segs = make([]eval.Segment, 0, total)
+	w.best = make([]eval.Segment, total)
+	return w
+}
+
+// tree walks the scheduling tree rooted at roots (one chiplet per plan)
+// with a budget of leaves.
+func (w *treeWalker) tree(roots []int, leaves int) {
+	w.roots = roots
+	for _, c := range roots {
+		w.taken[c] = true
+	}
+	w.left = leaves
+	w.assign(0)
+	for _, c := range roots {
+		w.taken[c] = false
+	}
+}
+
+// assign starts model k's path at its root, or evaluates the leaf once
+// every model has a path. Model k's root is never on an earlier path:
+// no path steps onto a root.
+//
+//scar:hotpath
+func (w *treeWalker) assign(k int) {
+	if k == len(w.plans) {
+		w.leaf()
+		return
+	}
+	root := w.roots[k]
+	if len(w.paths[k]) > 1 && !w.open(root) {
+		return
+	}
+	w.step(k, 0, root)
+}
+
+// step puts cur at depth d of model k's path, then either hands over to
+// model k+1 (the path is complete) or extends the path to each free step
+// target in ascending order.
+//
+//scar:hotpath
+func (w *treeWalker) step(k, d, cur int) {
+	w.res.visits++
+	if w.res.found && w.res.visits&(stopPollVisits-1) == 0 {
+		w.poll()
+		if w.left <= 0 {
+			return
+		}
+	}
+	path := w.paths[k]
+	path[d] = cur
+	w.taken[cur] = true
+	if d+1 == len(path) {
+		n := len(w.segs)
+		w.segs = w.plans[k].appendSegments(w.segs, path)
+		w.assign(k + 1)
+		w.segs = w.segs[:n]
+	} else {
+		for _, next := range w.steps[cur] {
+			if w.left <= 0 {
+				break
+			}
+			if !w.taken[next] && (d+2 == len(path) || w.open(next)) {
+				w.step(k, d+1, next)
+			}
+		}
+	}
+	w.taken[cur] = d == 0 // a root stays taken for the whole tree
+}
+
+// leaf evaluates the complete window in segs and keeps it if it improves
+// on the incumbent.
+//
+//scar:hotpath
+func (w *treeWalker) leaf() {
+	wm := w.evalWin(w.segs) //scar:hotalloc leaf callback: the run's memoizing window evaluator allocates only on a window-cache miss, once per unique window, never per visit
+	score := w.obj.windowScore(wm)
+	w.res.evals++
+	w.left--
+	if score < w.res.score {
+		// Snapshot only improvements: segs is rewritten as the DFS
+		// backtracks.
+		w.res.score = score
+		w.res.metrics = wm
+		copy(w.best, w.segs)
+		w.res.found = true
+	}
+	if w.res.evals >= w.budget {
+		w.left = 0
+	}
+	w.poll()
+}
+
+// open reports whether c has a step target left: a chiplet that is
+// neither on a path nor a root.
+//
+//scar:hotpath
+func (w *treeWalker) open(c int) bool {
+	for _, next := range w.steps[c] {
+		if !w.taken[next] {
+			return true
+		}
+	}
+	return false
+}
+
+// poll consults stop and, when it reports true, aborts the search.
+//
+//scar:hotpath
+func (w *treeWalker) poll() {
+	if w.stop != nil && w.stop() { //scar:hotalloc stop callback: the run's cancellation check is an atomic load plus a non-blocking receive on ctx.Done, which allocates at most once per context (the lazily made Done channel)
+		w.res.aborted = true
+		w.left = 0
+	}
 }
 
 // rootTuples generates up to maxTrees injective chiplet tuples of the
 // given arity: the canonical ascending tuple first (so small searches are
 // stable) followed by deterministic seeded samples for coverage of the
-// forest.
+// forest. Rejected samples cost no allocation: the seen-set is probed
+// with a key built in a reused buffer, and a tuple is copied only once
+// accepted.
 func rootTuples(chiplets, arity, maxTrees int, rng *rand.Rand) [][]int {
 	if arity > chiplets || arity == 0 {
 		return nil
 	}
 	var out [][]int
-	seen := map[string]bool{}
-	add := func(t []int) bool {
-		k := fmtAlloc(t)
-		if seen[k] {
-			return false
+	seen := make(map[string]bool, max(maxTrees, 1))
+	var key []byte
+	add := func(t []int) {
+		key = key[:0]
+		for _, c := range t {
+			key = binary.AppendUvarint(key, uint64(c))
 		}
-		seen[k] = true
-		out = append(out, t)
-		return true
+		if seen[string(key)] {
+			return
+		}
+		seen[string(key)] = true
+		out = append(out, append([]int(nil), t...))
 	}
-	canonical := make([]int, arity)
-	for i := range canonical {
-		canonical[i] = i
+	perm := make([]int, chiplets)
+	for i := range perm {
+		perm[i] = i
 	}
-	add(canonical)
+	add(perm[:arity])
 	// Sampling with rejection; the attempt bound keeps termination
 	// certain when maxTrees approaches the tuple-space size.
 	attempts := maxTrees * 20
-	perm := make([]int, chiplets)
+	swap := func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }
 	for len(out) < maxTrees && attempts > 0 {
 		attempts--
 		for i := range perm {
 			perm[i] = i
 		}
-		rng.Shuffle(chiplets, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		t := append([]int(nil), perm[:arity]...)
-		add(t)
+		rng.Shuffle(chiplets, swap)
+		add(perm[:arity])
 	}
 	return out
 }

@@ -63,6 +63,10 @@ type Result struct {
 	// Candidates counts MCM-Reconfig partitioning candidates planned by
 	// the search (on a Partial result, some may have been skipped).
 	Candidates int
+	// TreeVisits counts the SCHED tree search's DFS steps (chiplets
+	// stepped onto, leaf or not) across every window search: the
+	// enumerator's hardware-independent work count.
+	TreeVisits int
 	// Explored holds the metrics of every feasible partitioning
 	// candidate (the per-candidate cloud behind the paper's Pareto
 	// plots), in candidate order.
@@ -110,13 +114,15 @@ type run struct {
 	expLat  [][]float64
 	expE    [][]float64
 	adj     [][]bool
+	steps   [][]int // stepTargets(adj, opts.FreePlacement)
 	pool    *pool
 	workers []workerState
 	cache   *windowCache
 	evals   atomic.Int64
+	visits  atomic.Int64
 
-	// stopped latches the first observation of ctx cancellation so the
-	// per-leaf stop checks are one atomic load; truncated records that
+	// stopped latches the first observation of ctx cancellation so
+	// later stop checks are one atomic load; truncated records that
 	// the stop actually cut work short (the Result.Partial bit).
 	stopped   atomic.Bool
 	truncated atomic.Bool
@@ -156,6 +162,7 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		cache:     newWindowCache(),
 		bestScore: math.Inf(1),
 	}
+	r.steps = stepTargets(r.adj, opts.FreePlacement)
 	r.workers = make([]workerState, r.pool.NWorkers())
 	for i := range r.workers {
 		r.workers[i].scratch = r.comp.NewScratch()
@@ -164,22 +171,29 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 }
 
 // stop reports whether the run's context is cancelled, latching the
-// answer so later checks are a single atomic load.
+// answer so later checks are a single atomic load. The tree search calls
+// it after every leaf, so it probes ctx.Done without blocking rather
+// than calling ctx.Err, which locks the context's mutex and would
+// serialize the workers.
 func (r *run) stop() bool {
 	if r.stopped.Load() {
 		return true
 	}
-	if r.ctx.Err() != nil {
+	select {
+	case <-r.ctx.Done():
 		r.stopped.Store(true)
 		return true
+	default:
+		return false
 	}
-	return false
 }
 
-// searchStop is the per-leaf stop check handed to the tree and
-// evolutionary searches: it only reads the latch (the latch itself is
+// searchStop is the per-evaluation stop check handed to the
+// evolutionary search: it only reads the latch (the latch itself is
 // refreshed by the throttled context poll in window), so checking it
-// between every two evaluations costs one atomic load.
+// between every two evaluations costs one atomic load. The tree search
+// takes stop instead, since its interior polls fall between leaves,
+// where nothing else refreshes the latch.
 func (r *run) searchStop() bool { return r.stopped.Load() }
 
 // window evaluates one time window through the run's memoization layer
@@ -380,6 +394,7 @@ func (s *Scheduler) searchPartitionings(r *run, cands []partitioning) (*Result, 
 	best.WindowEvals = int(r.evals.Load())
 	best.UniqueWindows = r.cache.Len()
 	best.Candidates = len(cands)
+	best.TreeVisits = int(r.visits.Load())
 	best.Explored = explored
 	return best, nil
 }
@@ -529,13 +544,12 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 			return r.window(worker, eval.TimeWindow{Segments: segs})
 		}
 		results[ti] = treeSearch(
-			evalWin, r.adj, r.m.NumChiplets(),
-			t.plans, r.obj, r.opts.MaxTrees, t.budget, rng, r.opts.FreePlacement,
-			r.searchStop,
+			evalWin, r.steps, t.plans, r.obj, r.opts.MaxTrees, t.budget, rng, r.stop,
 		)
 	})
 	best := treeResult{score: math.Inf(1)}
 	for _, res := range results {
+		r.visits.Add(int64(res.visits))
 		if res.aborted {
 			r.truncated.Store(true)
 		}
