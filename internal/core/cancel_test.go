@@ -327,7 +327,7 @@ func TestTreeSearchInteriorStopPoll(t *testing.T) {
 		}
 	}
 	plans := []modelPlan{{model: 0, r: layerRange{First: 0, Last: 8}, ends: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}}}
-	evalWin := func([]eval.Segment) eval.WindowMetrics { return eval.WindowMetrics{LatencySec: 1, EnergyJ: 1} }
+	evalWin := func([]eval.Segment) eval.WindowEval { return eval.WindowEval{LatencySec: 1, EnergyJ: 1} }
 	search := func(stop func() bool) treeResult {
 		return treeSearch(evalWin, stepTargets(adj, false), plans, EDPObjective(), 1, 100, rand.New(rand.NewSource(1)), stop)
 	}

@@ -364,8 +364,9 @@ func TestTreeSearchRespectsAdjacencyAndExclusivity(t *testing.T) {
 		{model: 1, r: layerRange{0, 1}, ends: []int{0, 1}},    // 2 segments
 	}
 	rng := rand.New(rand.NewSource(5))
-	evalWin := func(segs []eval.Segment) eval.WindowMetrics {
-		return ev.Window(eval.TimeWindow{Segments: segs})
+	evalWin := func(segs []eval.Segment) eval.WindowEval {
+		wm := ev.Window(eval.TimeWindow{Segments: segs})
+		return eval.WindowEval{LatencySec: wm.LatencySec, EnergyJ: wm.EnergyJ, NumLayers: wm.NumLayers}
 	}
 	res := treeSearch(evalWin, stepTargets(pkg.AdjacencyMatrix(), false), plans, EDPObjective(), 30, 500, rng, nil)
 	if !res.found {

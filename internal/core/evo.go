@@ -191,8 +191,7 @@ func (s *Scheduler) searchWindowEvo(r *run, self int, w windowAssignment, seed i
 		if !ok {
 			return math.Inf(1)
 		}
-		wm := r.window(self, eval.TimeWindow{Segments: segs})
-		return r.obj.windowScore(wm)
+		return r.obj.windowScore(r.window(self, segs))
 	}
 	gaOpts := r.opts.Evo
 	gaOpts.Seed = mixSeed(seed, 3)

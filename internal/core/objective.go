@@ -79,14 +79,14 @@ func (o Objective) proxy(latSec, energyPJ float64) float64 {
 	}
 }
 
-// windowScore reduces window metrics to the objective's value for
+// windowScore reduces a window evaluation to the objective's value for
 // per-window ranking.
 //
 //scar:hotpath
-func (o Objective) windowScore(wm eval.WindowMetrics) float64 {
+func (o Objective) windowScore(we eval.WindowEval) float64 {
 	return o.Score(eval.Metrics{ //scar:hotalloc objective callback: the built-in scores are float arithmetic on the metrics; a custom score is the caller's own code
-		LatencySec: wm.LatencySec,
-		EnergyJ:    wm.EnergyJ,
-		EDP:        wm.LatencySec * wm.EnergyJ,
+		LatencySec: we.LatencySec,
+		EnergyJ:    we.EnergyJ,
+		EDP:        we.LatencySec * we.EnergyJ,
 	})
 }

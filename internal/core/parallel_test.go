@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"example.com/scar/internal/costdb"
-	"example.com/scar/internal/eval"
 	"example.com/scar/internal/maestro"
 	"example.com/scar/internal/mcm"
 	"example.com/scar/internal/search"
@@ -293,24 +292,6 @@ func TestMixSeedSpreads(t *testing.T) {
 	}
 	if mixSeed(1, 2, 3) == mixSeed(1, 3, 2) {
 		t.Error("mixSeed ignores salt order")
-	}
-}
-
-func TestWindowKeyDistinguishesSegments(t *testing.T) {
-	key := func(segs []eval.Segment) string { return string(appendWindowKey(nil, segs)) }
-	a := []eval.Segment{{Model: 0, First: 0, Last: 1, Chiplet: 2}}
-	b := []eval.Segment{{Model: 0, First: 0, Last: 1, Chiplet: 3}}
-	c := []eval.Segment{{Model: 1, First: 0, Last: 1, Chiplet: 2}}
-	if key(a) == key(b) || key(a) == key(c) {
-		t.Error("window key collides on distinct placements")
-	}
-	if key(a) != key([]eval.Segment{{Model: 0, First: 0, Last: 1, Chiplet: 2}}) {
-		t.Error("window key not stable")
-	}
-	// Reusing a non-empty buffer must yield the same fingerprint bytes.
-	buf := appendWindowKey(nil, b)
-	if string(appendWindowKey(buf[:0], a)) != key(a) {
-		t.Error("window key differs when the buffer is reused")
 	}
 }
 

@@ -48,7 +48,6 @@ func (p modelPlan) appendSegments(dst []eval.Segment, path []int) []eval.Segment
 // treeResult is the best window schedule found by the tree search.
 type treeResult struct {
 	segments []eval.Segment
-	metrics  eval.WindowMetrics
 	score    float64
 	evals    int
 	// visits counts DFS steps: every time a model's path steps onto a
@@ -105,7 +104,7 @@ func stepTargets(adj [][]bool, freePlacement bool) [][]int {
 // partial results build on. A nil or never-true stop leaves the search
 // byte-for-byte identical to the unstoppable version.
 func treeSearch(
-	evalWin func(segs []eval.Segment) eval.WindowMetrics, steps [][]int,
+	evalWin func(segs []eval.Segment) eval.WindowEval, steps [][]int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, stop func() bool,
 ) treeResult {
 	ordered := make([]modelPlan, len(plans))
@@ -157,7 +156,7 @@ func treeSearch(
 // Budgets and the abort flag only change at leaves, so skipping dead
 // subtrees changes neither which leaves are evaluated nor their order.
 type treeWalker struct {
-	evalWin func(segs []eval.Segment) eval.WindowMetrics
+	evalWin func(segs []eval.Segment) eval.WindowEval
 	stop    func() bool
 	obj     Objective
 	plans   []modelPlan // descending segment count
@@ -178,7 +177,7 @@ type treeWalker struct {
 }
 
 func newTreeWalker(
-	evalWin func(segs []eval.Segment) eval.WindowMetrics, stop func() bool, obj Objective,
+	evalWin func(segs []eval.Segment) eval.WindowEval, stop func() bool, obj Objective,
 	plans []modelPlan, steps [][]int, budget int,
 ) *treeWalker {
 	chiplets := len(steps)
@@ -273,15 +272,13 @@ func (w *treeWalker) step(k, d, cur int) {
 //
 //scar:hotpath
 func (w *treeWalker) leaf() {
-	wm := w.evalWin(w.segs) //scar:hotalloc leaf callback: the run's memoizing window evaluator allocates only on a window-cache miss, once per unique window, never per visit
-	score := w.obj.windowScore(wm)
+	score := w.obj.windowScore(w.evalWin(w.segs)) //scar:hotalloc leaf callback: the run's memoizing window evaluator allocates only when its cache table doubles or its key arena takes a new chunk, never per visit or per leaf
 	w.res.evals++
 	w.left--
 	if score < w.res.score {
 		// Snapshot only improvements: segs is rewritten as the DFS
 		// backtracks.
 		w.res.score = score
-		w.res.metrics = wm
 		copy(w.best, w.segs)
 		w.res.found = true
 	}

@@ -22,7 +22,7 @@ import (
 // pruned walker, which must evaluate exactly its leaves in exactly its
 // order.
 func referenceTreeSearch(
-	evalWin func(segs []eval.Segment) eval.WindowMetrics, adj [][]bool, chiplets int,
+	evalWin func(segs []eval.Segment) eval.WindowEval, adj [][]bool, chiplets int,
 	plans []modelPlan, obj Objective, maxTrees, budget int, rng *rand.Rand, freePlacement bool,
 ) treeResult {
 	ordered := append([]modelPlan(nil), plans...)
@@ -46,11 +46,11 @@ func referenceTreeSearch(
 				return
 			}
 			if k == len(ordered) {
-				wm := evalWin(segs)
+				we := evalWin(segs)
 				res.evals++
 				left--
-				if score := obj.windowScore(wm); score < res.score {
-					res.score, res.metrics, res.found = score, wm, true
+				if score := obj.windowScore(we); score < res.score {
+					res.score, res.found = score, true
 					res.segments = append([]eval.Segment(nil), segs...)
 				}
 				return
@@ -90,14 +90,14 @@ func referenceTreeSearch(
 
 // recordingEval scores a window by a deterministic hash of its mapping
 // and logs every leaf it is asked for, in order.
-func recordingEval(log *[]string) func(segs []eval.Segment) eval.WindowMetrics {
-	return func(segs []eval.Segment) eval.WindowMetrics {
+func recordingEval(log *[]string) func(segs []eval.Segment) eval.WindowEval {
+	return func(segs []eval.Segment) eval.WindowEval {
 		h := 17
 		for _, s := range segs {
 			h = (h*31 + s.Model*7 + s.First*3 + s.Chiplet) % 1000003
 		}
 		*log = append(*log, fmt.Sprint(segs))
-		return eval.WindowMetrics{LatencySec: float64(h%997 + 1), EnergyJ: float64(h%89 + 1)}
+		return eval.WindowEval{LatencySec: float64(h%997 + 1), EnergyJ: float64(h%89 + 1)}
 	}
 }
 
@@ -201,8 +201,8 @@ func TestTreeSearchAllocsIndependentOfBudget(t *testing.T) {
 		{model: 1, r: layerRange{First: 0, Last: 5}, ends: []int{1, 3, 5}},
 		{model: 2, r: layerRange{First: 0, Last: 1}, ends: []int{0, 1}},
 	}
-	evalWin := func(segs []eval.Segment) eval.WindowMetrics {
-		return eval.WindowMetrics{LatencySec: float64(segs[0].Chiplet + segs[len(segs)-1].Chiplet + 1), EnergyJ: 1}
+	evalWin := func(segs []eval.Segment) eval.WindowEval {
+		return eval.WindowEval{LatencySec: float64(segs[0].Chiplet + segs[len(segs)-1].Chiplet + 1), EnergyJ: 1}
 	}
 	stop := func() bool { return false }
 	search := func(budget int) treeResult {
@@ -250,4 +250,51 @@ func BenchmarkTreeSearch(b *testing.B) {
 	}
 	b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+}
+
+// BenchmarkSearch4x4 is the search-4x4 problem set in process: scenarios
+// 1-10 on Het-Sides 4x4 under EDP and on Het-CB 4x4 under latency, one op
+// scheduling all 20 with DefaultOptions at the default worker count over
+// a warm cost database. The tree search's window cache hits about 1% of
+// evaluations here, so unique/op tracks evals/op and the cost of a cache
+// probe shows directly in ns/op.
+func BenchmarkSearch4x4(b *testing.B) {
+	db := costdb.New(maestro.DefaultParams())
+	dc := maestro.DefaultDatacenterChiplet()
+	var reqs []*Request
+	for _, v := range []struct {
+		pkg *mcm.MCM
+		obj Objective
+	}{{mcm.HetSides(4, 4, dc), EDPObjective()}, {mcm.HetCB(4, 4, dc), LatencyObjective()}} {
+		for n := 1; n <= 10; n++ {
+			sc, err := models.ScenarioByNumber(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs = append(reqs, NewRequest(&sc, v.pkg, v.obj))
+		}
+	}
+	s := New(db, DefaultOptions())
+	schedule := func() (evals, unique int) {
+		for _, req := range reqs {
+			res, err := s.Schedule(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			evals += res.WindowEvals
+			unique += res.UniqueWindows
+		}
+		return evals, unique
+	}
+	schedule()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var evals, unique int
+	for i := 0; i < b.N; i++ {
+		e, u := schedule()
+		evals += e
+		unique += u
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(unique)/float64(b.N), "unique/op")
 }

@@ -89,15 +89,6 @@ type CandidateMetrics struct {
 	Metrics eval.Metrics
 }
 
-// workerState is one pool worker's private evaluation state: a compiled-
-// session Scratch plus a reusable cache-key buffer. The pool guarantees
-// no two concurrently-running tasks share a worker id, so access is
-// race-free without locks.
-type workerState struct {
-	scratch *eval.Scratch
-	key     []byte
-}
-
 // run bundles one scheduling invocation's state. All of it is either
 // read-only after construction (context, effective options, compiled
 // session, expectations, adjacency) or concurrency-safe (pool, window
@@ -116,7 +107,7 @@ type run struct {
 	adj     [][]bool
 	steps   [][]int // stepTargets(adj, opts.FreePlacement)
 	pool    *pool
-	workers []workerState
+	scratch []*eval.Scratch // one per pool worker; no two concurrently-running tasks share a worker id
 	cache   *windowCache
 	evals   atomic.Int64
 	visits  atomic.Int64
@@ -163,18 +154,18 @@ func (s *Scheduler) newRun(ctx context.Context, req *Request, opts Options) *run
 		bestScore: math.Inf(1),
 	}
 	r.steps = stepTargets(r.adj, opts.FreePlacement)
-	r.workers = make([]workerState, r.pool.NWorkers())
-	for i := range r.workers {
-		r.workers[i].scratch = r.comp.NewScratch()
+	r.scratch = make([]*eval.Scratch, r.pool.NWorkers())
+	for i := range r.scratch {
+		r.scratch[i] = r.comp.NewScratch()
 	}
 	return r
 }
 
 // stop reports whether the run's context is cancelled, latching the
 // answer so later checks are a single atomic load. The tree search calls
-// it after every leaf, so it probes ctx.Done without blocking rather
-// than calling ctx.Err, which locks the context's mutex and would
-// serialize the workers.
+// it after every leaf and window calls it every 32nd evaluation, so it
+// probes ctx.Done without blocking rather than calling ctx.Err, which
+// locks the context's mutex and would serialize the workers.
 func (r *run) stop() bool {
 	if r.stopped.Load() {
 		return true
@@ -196,25 +187,23 @@ func (r *run) stop() bool {
 // where nothing else refreshes the latch.
 func (r *run) searchStop() bool { return r.stopped.Load() }
 
-// window evaluates one time window through the run's memoization layer
-// with the given worker's scratch state, counting the logical evaluation.
-// Cache probes reuse the worker's key buffer; only a miss materializes
-// the metrics and the stored key. Every 32nd evaluation polls the run
-// context so cancellation is observed within tens of microseconds of
-// search work without putting ctx.Err on every evaluation.
-func (r *run) window(worker int, w eval.TimeWindow) eval.WindowMetrics {
-	n := r.evals.Add(1)
-	if n&31 == 0 && !r.stopped.Load() && r.ctx.Err() != nil {
-		r.stopped.Store(true)
+// window evaluates one time window's segments through the run's
+// memoization layer with the given worker's scratch, counting the
+// logical evaluation. The probe hashes the segments in place; only a
+// miss evaluates and stores. Every 32nd evaluation refreshes the stop
+// latch, so cancellation is observed within tens of microseconds of
+// search work without a context check on every evaluation.
+func (r *run) window(worker int, segs []eval.Segment) eval.WindowEval {
+	if r.evals.Add(1)&31 == 0 {
+		r.stop()
 	}
-	ws := &r.workers[worker]
-	ws.key = appendWindowKey(ws.key[:0], w.Segments)
-	if wm, ok := r.cache.get(ws.key); ok {
-		return wm
+	h := hashWindow(segs)
+	if we, ok := r.cache.get(h, segs); ok {
+		return we
 	}
-	wm := r.comp.Window(ws.scratch, w)
-	r.cache.put(ws.key, wm)
-	return wm
+	we := r.comp.WindowEval(r.scratch[worker], eval.TimeWindow{Segments: segs})
+	r.cache.put(h, segs, we)
+	return we
 }
 
 // noteCandidate records one finished (or skipped) candidate for progress
@@ -236,11 +225,15 @@ func (r *run) noteCandidate(out *candOutcome) {
 			r.hasBest = true
 		}
 	}
+	// Every stored window was counted as an evaluation first, so reading
+	// the cache before the counter keeps UniqueWindows <= WindowEvals
+	// while other candidates are still searching.
+	unique := r.cache.Len()
 	ev := ProgressEvent{
 		CandidatesDone:  r.candsDone,
 		CandidatesTotal: r.candsTotal,
 		WindowEvals:     int(r.evals.Load()),
-		UniqueWindows:   r.cache.Len(),
+		UniqueWindows:   unique,
 		BestScore:       r.bestScore,
 		HasIncumbent:    r.hasBest,
 	}
@@ -338,7 +331,7 @@ func (s *Scheduler) searchPartitionings(r *run, cands []partitioning) (*Result, 
 			r.noteCandidate(&outcomes[ci])
 			return
 		}
-		metrics, err := r.comp.Evaluate(r.workers[worker].scratch, sched)
+		metrics, err := r.comp.Evaluate(r.scratch[worker], sched)
 		if err != nil {
 			outcomes[ci] = candOutcome{
 				err:      fmt.Errorf("core: internal error, produced invalid schedule: %w", err),
@@ -540,8 +533,8 @@ func (s *Scheduler) searchWindow(r *run, self int, w windowAssignment, seed int6
 	r.pool.forEach(self, len(tasks), func(worker, ti int) {
 		t := tasks[ti]
 		rng := rand.New(rand.NewSource(t.seed))
-		evalWin := func(segs []eval.Segment) eval.WindowMetrics {
-			return r.window(worker, eval.TimeWindow{Segments: segs})
+		evalWin := func(segs []eval.Segment) eval.WindowEval {
+			return r.window(worker, segs)
 		}
 		results[ti] = treeSearch(
 			evalWin, r.steps, t.plans, r.obj, r.opts.MaxTrees, t.budget, rng, r.stop,
