@@ -21,31 +21,27 @@ import (
 // not a paper artifact): it drives the in-process serve.Service at
 // saturation with a configurable hit/miss mix and measures throughput
 // and latency percentiles of the serving layer itself — the sharded
-// cache, per-shard singleflight and padded counter blocks — against
-// the retained pre-sharding single-mutex implementation
-// (serve.Config.SingleMutex). Three mixes are measured:
+// cache, per-shard singleflight and padded counter blocks. Three mixes
+// are measured:
 //
 //   - "hit":   every request is a resident cache key. Isolates lock and
-//     counter contention; the win scales with real cores.
+//     counter contention.
 //   - "mixed": mostly hits plus a stream of unique *failing* keys (the
 //     churn a public daemon sees from malformed custom descriptions).
-//     In the legacy cache, in-flight entries count against the bound
-//     and eviction runs at insert, so each failing key evicts a
-//     resident schedule and forces a full re-search on its next hit —
-//     the working-set erosion shows up as searches_run > 0 and a
-//     throughput collapse. The sharded cache never counts in-flight
-//     entries, so its hit set stays resident.
-//   - "churn": failing keys only. Exercises the discard path (the
-//     legacy linear order-slice scan vs the LRU's O(1) unlink).
+//     In-flight entries never count against the cache bound, so the
+//     failing keys must not evict the resident hit set: a cache that
+//     lets them would show searches_run > 0 (every evicted key is
+//     re-searched on its next hit) and a throughput collapse.
+//   - "churn": failing keys only. Exercises the discard path.
 //
 // The search budgets are pinned to a reduced profile (serveLoadOpts):
-// the generator measures the serving layer, and re-searches forced by
-// legacy erosion must cost milliseconds, not minutes. Its JSON output
-// is the checked-in BENCH_serve.json snapshot (regenerate with
+// the generator measures the serving layer, and any re-search must
+// cost milliseconds, not minutes. Its JSON output is the checked-in
+// BENCH_serve.json snapshot (regenerate with
 // `go run ./cmd/scarbench -exp serve -benchjson BENCH_serve.json`);
 // throughput numbers are hardware-dependent, the structural fields
 // (searches_run, error_ops) are not. With URL set the generator drives
-// a live daemon over HTTP instead (no baseline comparison).
+// a live daemon over HTTP instead.
 
 // ServeLoadConfig parameterizes the load generator. Zero values take
 // the documented defaults.
@@ -56,8 +52,7 @@ type ServeLoadConfig struct {
 	Keys int
 	// Goroutines is the client concurrency. Default 4x GOMAXPROCS.
 	Goroutines int
-	// Duration is the measured interval per (implementation, mix)
-	// point. Default 2s.
+	// Duration is the measured interval per mix. Default 2s.
 	Duration time.Duration
 	// HitFraction is the mixed workload's share of cache-hit requests
 	// (the rest are unique failing keys). Default 0.95.
@@ -66,14 +61,13 @@ type ServeLoadConfig struct {
 	// the cache runs exactly at its bound, the steady state of a
 	// saturated public daemon.
 	MaxEntries int
-	// Shards configures the sharded implementation (0 = serve default).
+	// Shards configures the in-process cache (0 = serve default).
 	Shards int
 	// MinGOMAXPROCS raises GOMAXPROCS for the measurement (restored
 	// afterwards); the acceptance gate measures at >= 8. Default 8.
 	MinGOMAXPROCS int
 	// URL, when set, drives a live scarserve daemon over HTTP instead
-	// of in-process services. Only the sharded (live) numbers are
-	// reported then.
+	// of in-process services.
 	URL string
 }
 
@@ -101,7 +95,7 @@ func (c ServeLoadConfig) withDefaults() ServeLoadConfig {
 	return c
 }
 
-// ServeLoadPoint is one measured (implementation, mix) operating point.
+// ServeLoadPoint is one measured mix operating point.
 type ServeLoadPoint struct {
 	// Mix is "hit", "mixed" or "churn"; HitFraction its hit share.
 	Mix         string  `json:"mix"`
@@ -112,8 +106,8 @@ type ServeLoadPoint struct {
 	ErrorOps int64 `json:"error_ops"`
 	// SearchesRun counts underlying schedule searches during the
 	// measured interval. Nonzero under "hit"/"mixed" means the resident
-	// working set was evicted and re-searched (the legacy erosion
-	// pathology); the sharded cache reports 0.
+	// working set was evicted and re-searched (working-set erosion); the
+	// in-process service must report 0. Not measured over HTTP.
 	SearchesRun int64 `json:"searches_run"`
 	// DurationSec is the measured wall interval; ThroughputRPS the
 	// request rate over it.
@@ -123,22 +117,6 @@ type ServeLoadPoint struct {
 	P50Us float64 `json:"p50_us"`
 	P95Us float64 `json:"p95_us"`
 	P99Us float64 `json:"p99_us"`
-}
-
-// ServeLoadImpl is one implementation's curve across the mixes.
-type ServeLoadImpl struct {
-	// Impl is "sharded", "single-mutex" or "http".
-	Impl   string           `json:"impl"`
-	Shards int              `json:"shards"`
-	Points []ServeLoadPoint `json:"points"`
-}
-
-// ServeLoadSpeedup is the per-mix throughput ratio sharded/single-mutex.
-type ServeLoadSpeedup struct {
-	Mix         string  `json:"mix"`
-	Sharded     float64 `json:"sharded_rps"`
-	SingleMutex float64 `json:"single_mutex_rps"`
-	Speedup     float64 `json:"speedup"`
 }
 
 // ServeLoadResult is the load-generator snapshot.
@@ -153,12 +131,12 @@ type ServeLoadResult struct {
 	// searches at reduced budgets), across all points.
 	SetupMs float64 `json:"setup_ms"`
 	URL     string  `json:"url,omitempty"`
-	// Impls carries the sharded curve first, then the single-mutex
-	// baseline (in-process mode only).
-	Impls []ServeLoadImpl `json:"impls"`
-	// Speedups compares the two implementations per mix (in-process
-	// mode only).
-	Speedups []ServeLoadSpeedup `json:"speedups,omitempty"`
+	// Impl is "sharded" in process or "http" against a live daemon;
+	// Shards is the in-process cache fan-out (0 over HTTP).
+	Impl   string `json:"impl"`
+	Shards int    `json:"shards"`
+	// Points holds one operating point per mix: hit, mixed, churn.
+	Points []ServeLoadPoint `json:"points"`
 }
 
 // serveLoadOpts pins the generator's search budgets to an intermediate
@@ -233,7 +211,7 @@ func (s *Suite) ServeLoad(ctx context.Context, cfg ServeLoadConfig) (*ServeLoadR
 	}
 
 	if cfg.URL != "" {
-		impl := ServeLoadImpl{Impl: "http"}
+		res.Impl = "http"
 		client := &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        cfg.Goroutines,
 			MaxIdleConnsPerHost: cfg.Goroutines,
@@ -247,51 +225,32 @@ func (s *Suite) ServeLoad(ctx context.Context, cfg ServeLoadConfig) (*ServeLoadR
 			pt := serveLoadDrive(cfg, mix.name, mix.hit, hits, func(r serve.Request) error {
 				return serveLoadPostHTTP(client, cfg.URL, r)
 			})
-			impl.Points = append(impl.Points, pt)
+			res.Points = append(res.Points, pt)
 		}
-		res.Impls = []ServeLoadImpl{impl}
 		return res, nil
 	}
 
-	for _, variant := range []struct {
-		impl string
-		cfgS serve.Config
-	}{
-		{"sharded", serve.Config{Shards: cfg.Shards, MaxCachedSchedules: cfg.MaxEntries}},
-		{"single-mutex", serve.Config{SingleMutex: true, MaxCachedSchedules: cfg.MaxEntries}},
-	} {
-		impl := ServeLoadImpl{Impl: variant.impl}
-		for _, mix := range mixes {
-			// Fresh service per point: a prior mix's churn must not
-			// leave an eroded cache behind. The suite cost database is
-			// shared, so only the first population pays cost-model
-			// warmup.
-			svc := serve.NewWithConfig(s.DB, s.serveLoadOpts(), variant.cfgS)
-			impl.Shards = svc.Stats().Shards
-			setup := time.Now()
-			for _, r := range hits {
-				if _, err := svc.Schedule(ctx, r); err != nil {
-					return nil, fmt.Errorf("experiments: serve: populate %s/%s: %w", variant.impl, mix.name, err)
-				}
+	res.Impl = "sharded"
+	for _, mix := range mixes {
+		// Fresh service per point: a prior mix's churn must not leave
+		// its state behind. The suite cost database is shared, so only
+		// the first population pays cost-model warmup.
+		svc := serve.NewWithConfig(s.DB, s.serveLoadOpts(), serve.Config{Shards: cfg.Shards, MaxCachedSchedules: cfg.MaxEntries})
+		res.Shards = svc.Stats().Shards
+		setup := time.Now()
+		for _, r := range hits {
+			if _, err := svc.Schedule(ctx, r); err != nil {
+				return nil, fmt.Errorf("experiments: serve: populate %s: %w", mix.name, err)
 			}
-			res.SetupMs += float64(time.Since(setup).Microseconds()) / 1e3
-			before := svc.Stats().ScheduleCalls
-			pt := serveLoadDrive(cfg, mix.name, mix.hit, hits, func(r serve.Request) error {
-				_, err := svc.Schedule(ctx, r)
-				return err
-			})
-			pt.SearchesRun = svc.Stats().ScheduleCalls - before
-			impl.Points = append(impl.Points, pt)
 		}
-		res.Impls = append(res.Impls, impl)
-	}
-	for i, mix := range mixes {
-		sh, sm := res.Impls[0].Points[i], res.Impls[1].Points[i]
-		sp := ServeLoadSpeedup{Mix: mix.name, Sharded: sh.ThroughputRPS, SingleMutex: sm.ThroughputRPS}
-		if sm.ThroughputRPS > 0 {
-			sp.Speedup = sh.ThroughputRPS / sm.ThroughputRPS
-		}
-		res.Speedups = append(res.Speedups, sp)
+		res.SetupMs += float64(time.Since(setup).Microseconds()) / 1e3
+		before := svc.Stats().ScheduleCalls
+		pt := serveLoadDrive(cfg, mix.name, mix.hit, hits, func(r serve.Request) error {
+			_, err := svc.Schedule(ctx, r)
+			return err
+		})
+		pt.SearchesRun = svc.Stats().ScheduleCalls - before
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
@@ -407,30 +366,20 @@ func serveLoadPostHTTP(client *http.Client, url string, r serve.Request) error {
 	return nil
 }
 
-// Print renders the load-generator result as one table per
-// implementation plus the speedup summary.
+// Print renders the load-generator result as one table of mixes.
 func (r *ServeLoadResult) Print(w io.Writer) {
 	fprintf(w, "Serve-layer load generator: GOMAXPROCS %d (%d CPUs), %d goroutines, %d keys, cache bound %d, %.2gs/point\n",
 		r.GOMAXPROCS, r.NumCPU, r.Goroutines, r.Keys, r.MaxEntries, r.DurationSec)
 	if r.URL != "" {
 		fprintf(w, "live daemon: %s\n", r.URL)
 	}
-	for _, impl := range r.Impls {
-		fprintf(w, "\nimpl %s (%d shard(s))\n", impl.Impl, impl.Shards)
-		fprintf(w, "%8s %6s %12s %12s %10s %10s %10s %10s %10s\n",
-			"mix", "hit%", "ops", "req/s", "errors", "searches", "p50 µs", "p95 µs", "p99 µs")
-		for _, p := range impl.Points {
-			fprintf(w, "%8s %5.0f%% %12d %12.0f %10d %10d %10.2f %10.2f %10.2f\n",
-				p.Mix, 100*p.HitFraction, p.Ops, p.ThroughputRPS, p.ErrorOps, p.SearchesRun,
-				p.P50Us, p.P95Us, p.P99Us)
-		}
-	}
-	if len(r.Speedups) > 0 {
-		fprintf(w, "\nsharded vs single-mutex throughput\n")
-		fprintf(w, "%8s %14s %14s %9s\n", "mix", "sharded req/s", "legacy req/s", "speedup")
-		for _, s := range r.Speedups {
-			fprintf(w, "%8s %14.0f %14.0f %8.2fx\n", s.Mix, s.Sharded, s.SingleMutex, s.Speedup)
-		}
+	fprintf(w, "\nimpl %s (%d shard(s))\n", r.Impl, r.Shards)
+	fprintf(w, "%8s %6s %12s %12s %10s %10s %10s %10s %10s\n",
+		"mix", "hit%", "ops", "req/s", "errors", "searches", "p50 µs", "p95 µs", "p99 µs")
+	for _, p := range r.Points {
+		fprintf(w, "%8s %5.0f%% %12d %12.0f %10d %10d %10.2f %10.2f %10.2f\n",
+			p.Mix, 100*p.HitFraction, p.Ops, p.ThroughputRPS, p.ErrorOps, p.SearchesRun,
+			p.P50Us, p.P95Us, p.P99Us)
 	}
 }
 

@@ -24,34 +24,23 @@ func benchService(b *testing.B, cfg Config, nkeys int) (*Service, []Request) {
 }
 
 // BenchmarkScheduleCacheHit measures the saturated cache-hit path —
-// the 100k+ RPS regime the shard refactor targets — on the sharded
-// cache and on the retained single-mutex baseline.
+// the 100k+ RPS regime the shard refactor targets.
 func BenchmarkScheduleCacheHit(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sharded", Config{}},
-		{"single-mutex", Config{SingleMutex: true}},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			s, reqs := benchService(b, impl.cfg, 64)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					res, err := s.Schedule(context.Background(), reqs[i%len(reqs)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Cached {
-						b.Fatal("benchmark key missed the cache")
-					}
-					i++
-				}
-			})
-		})
-	}
+	s, reqs := benchService(b, Config{}, 64)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			res, err := s.Schedule(context.Background(), reqs[i%len(reqs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Cached {
+				b.Fatal("benchmark key missed the cache")
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkStats measures the counter-merge read path (previously a

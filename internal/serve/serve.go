@@ -11,8 +11,7 @@
 // carries its own mutex, its own singleflight slots and its own LRU
 // recency list, and the hot counters live in cache-line-padded
 // per-shard blocks merged on read, so the hit path of one key never
-// contends with another's. The pre-sharding single-mutex FIFO cache is
-// retained (legacy.go) as the scarbench -exp serve baseline.
+// contends with another's.
 //
 // Cancellation is per caller: a follower abandons its wait the moment
 // its own context dies while the shared search continues; a leader whose
@@ -223,11 +222,6 @@ type Config struct {
 	// MaxCachedSchedules bounds resident completed schedules across all
 	// shards; 0 means DefaultMaxCachedSchedules.
 	MaxCachedSchedules int
-	// SingleMutex selects the retained pre-sharding cache (one global
-	// mutex, FIFO eviction, one shared counter block) instead of the
-	// sharded one. It exists as the baseline for scarbench -exp serve
-	// and regression tests; never enable it in production.
-	SingleMutex bool
 	// MaxConcurrentSearches caps leader searches running at once (0 =
 	// unlimited, the legacy fail-open behavior). Cache hits and
 	// followers deduplicated onto an in-flight search never need a
@@ -264,7 +258,7 @@ type Service struct {
 	// service starts answering requests.
 	requestTimeout time.Duration
 
-	cache   scheduleCache
+	cache   *shardedCache
 	started time.Time
 
 	// Admission control (admission.go): searchSem caps concurrent
@@ -305,12 +299,6 @@ func NewWithConfig(db *costdb.DB, opts core.Options, cfg Config) *Service {
 	// once so cache keys honor the full (scenario, MCM, objective,
 	// options) tuple.
 	oh := sha256.Sum256([]byte(fmt.Sprintf("%+v", opts)))
-	var cache scheduleCache
-	if cfg.SingleMutex {
-		cache = newLegacyCache(cfg.MaxCachedSchedules)
-	} else {
-		cache = newShardedCache(cfg.Shards, cfg.MaxCachedSchedules)
-	}
 	maxStale := cfg.MaxCachedSchedules
 	if maxStale <= 0 {
 		maxStale = DefaultMaxCachedSchedules
@@ -322,7 +310,7 @@ func NewWithConfig(db *costdb.DB, opts core.Options, cfg Config) *Service {
 		db:            db,
 		opts:          opts,
 		optsKey:       "opts:" + hex.EncodeToString(oh[:8]),
-		cache:         cache,
+		cache:         newShardedCache(cfg.Shards, cfg.MaxCachedSchedules),
 		started:       time.Now(),
 		admissionWait: cfg.AdmissionWait,
 		failPoints:    cfg.FailPoints,

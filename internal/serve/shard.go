@@ -7,11 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// This file is the sharded cache fabric behind Service — the
-// Doppel-style contention split of what used to be one mutex-guarded
-// map: the key space is partitioned by hash across power-of-two shards,
-// each with its own mutex, its own singleflight protocol (the entry
-// done-channel handshake, now per shard) and its own recency list, so
+// This file is the schedule cache behind Service: key-addressed
+// singleflight slots, bounded retention of completed entries and the
+// service's hot counters, split Doppel-style against contention. The
+// key space is partitioned by hash across power-of-two shards, each
+// with its own mutex, its own singleflight protocol (the entry
+// done-channel handshake, per shard) and its own recency list, so
 // concurrent requests for different keys never touch the same lock or
 // the same counter cache line. Only the completed-entry bound is
 // global, enforced by one atomic that changes at search rate (a few
@@ -41,39 +42,6 @@ type counterTotals struct {
 	scheduleCalls int64
 	cacheHits     int64
 	simulations   int64
-}
-
-// scheduleCache is the concurrency fabric under Service: key-addressed
-// singleflight slots, bounded retention of completed entries, and the
-// service's hot counters. Two implementations exist — the sharded
-// production cache below and the retained pre-sharding single-mutex
-// cache (legacy.go), kept as the scarbench -exp serve baseline.
-type scheduleCache interface {
-	// counters returns the padded counter block the key's hot counters
-	// belong to (the key's shard, so increments spread with the load).
-	counters(key string) *counterBlock
-	// simCounter returns the block simulation counts go to (simulations
-	// run whole discrete-event sweeps, so this counter is cold).
-	simCounter() *counterBlock
-	// lookupOrStart returns the entry for key. created reports that no
-	// entry existed: the caller is now the leader of a new in-flight
-	// entry and must fill it, then call either complete or discard, and
-	// close(e.done). When created is false the caller is a follower (or
-	// a plain hit) and must wait on e.done before reading result fields.
-	lookupOrStart(key string) (e *entry, created bool)
-	// complete publishes a successfully filled entry: it becomes
-	// cacheable, recency-tracked and evictable. Leader-only, called
-	// before close(e.done).
-	complete(key string, e *entry)
-	// discard removes a failed or transient entry so the key can be
-	// retried. Leader-only, called before close(e.done).
-	discard(key string, e *entry)
-	// sizes reports resident completed entries and in-flight searches.
-	sizes() (completed, inflight int)
-	// totals merges every counter block.
-	totals() counterTotals
-	// shardCount reports the shard fan-out (1 for the legacy cache).
-	shardCount() int
 }
 
 // defaultShardCount derives the shard fan-out from GOMAXPROCS: the
@@ -110,7 +78,7 @@ type cacheShard struct {
 	lru     lruList // completed entries only, MRU first
 }
 
-// shardedCache is the production scheduleCache.
+// shardedCache is the schedule cache under Service.
 type shardedCache struct {
 	seed   maphash.Seed
 	mask   uint64
@@ -122,9 +90,9 @@ type shardedCache struct {
 	// completed tracks them. The bound is checked on complete (search
 	// rate) and never on the hit path, so the shared atomic stays cold.
 	// In-flight entries are never linked into any recency list and are
-	// therefore unevictable — and, unlike the legacy cache, they do not
-	// count against the bound, so a burst of transient failing keys
-	// cannot erode the resident working set.
+	// therefore unevictable — and they do not count against the bound,
+	// so a burst of transient failing keys cannot erode the resident
+	// working set.
 	maxEntries int64
 	completed  atomic.Int64
 	inflight   atomic.Int64
@@ -160,16 +128,27 @@ func (c *shardedCache) shardIndex(key string) uint64 {
 	return maphash.String(c.seed, key) & c.mask
 }
 
+// counters returns the padded counter block the key's hot counters
+// belong to (the key's shard, so increments spread with the load).
+//
 //scar:hotpath
 func (c *shardedCache) counters(key string) *counterBlock {
 	return &c.stats[c.shardIndex(key)]
 }
 
+// simCounter returns the block simulation counts go to (simulations run
+// whole discrete-event sweeps, so this counter is cold).
 func (c *shardedCache) simCounter() *counterBlock { return &c.sim }
 
-// lookupOrStart's hit path — the singleflight fast path every cached
-// request takes — must not allocate; only the miss path below the
-// early return constructs state.
+// lookupOrStart returns the entry e for key and whether it was created.
+// Created means no entry existed: the caller is now the leader of a new
+// in-flight entry and must fill it, then call either complete or
+// discard, and close(e.done). Otherwise the caller is a follower (or a
+// plain hit) and must wait on e.done before reading result fields.
+//
+// The hit path — the singleflight fast path every cached request
+// takes — must not allocate; only the miss path below the early return
+// constructs state.
 //
 //scar:hotpath
 func (c *shardedCache) lookupOrStart(key string) (*entry, bool) {
@@ -189,6 +168,9 @@ func (c *shardedCache) lookupOrStart(key string) (*entry, bool) {
 	return e, true
 }
 
+// complete publishes a successfully filled entry: it becomes cacheable,
+// recency-tracked and evictable. Leader-only, called before
+// close(e.done).
 func (c *shardedCache) complete(key string, e *entry) {
 	sh := c.shards[c.shardIndex(key)]
 	sh.mu.Lock()
@@ -212,6 +194,8 @@ func (c *shardedCache) complete(key string, e *entry) {
 	c.inflight.Add(-1)
 }
 
+// discard removes a failed or transient entry so the key can be
+// retried. Leader-only, called before close(e.done).
 func (c *shardedCache) discard(key string, e *entry) {
 	sh := c.shards[c.shardIndex(key)]
 	sh.mu.Lock()
@@ -222,10 +206,12 @@ func (c *shardedCache) discard(key string, e *entry) {
 	c.inflight.Add(-1)
 }
 
+// sizes reports resident completed entries and in-flight searches.
 func (c *shardedCache) sizes() (completed, inflight int) {
 	return int(c.completed.Load()), int(c.inflight.Load())
 }
 
+// totals merges every counter block.
 func (c *shardedCache) totals() counterTotals {
 	t := counterTotals{simulations: c.sim.simulations.Load()}
 	for i := range c.stats {
@@ -237,4 +223,5 @@ func (c *shardedCache) totals() counterTotals {
 	return t
 }
 
+// shardCount reports the shard fan-out.
 func (c *shardedCache) shardCount() int { return len(c.shards) }

@@ -385,39 +385,6 @@ func TestSimulateDuplicateClassesDedup(t *testing.T) {
 	}
 }
 
-// TestSingleMutexServiceStillCorrect: the retained legacy cache must
-// stay functionally correct (it is the benchmark baseline), including
-// the singleflight contract.
-func TestSingleMutexServiceStillCorrect(t *testing.T) {
-	s := fastServiceWith(Config{SingleMutex: true})
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = s.Schedule(context.Background(), tinyRequest())
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.ScheduleCalls != 1 || st.CacheHits != n-1 {
-		t.Errorf("legacy singleflight: %d searches, %d hits (want 1, %d)", st.ScheduleCalls, st.CacheHits, n-1)
-	}
-	if st.Shards != 1 {
-		t.Errorf("legacy shards = %d, want 1", st.Shards)
-	}
-	if st.CachedSchedules != 1 || st.InflightSearches != 0 {
-		t.Errorf("legacy sizes: cached=%d inflight=%d", st.CachedSchedules, st.InflightSearches)
-	}
-}
-
 // TestShardCacheHitZeroAllocs pins the //scar:hotpath contract on the
 // singleflight hit path at runtime (hotalloc proves it statically):
 // looking up a completed entry and bumping the shard's hot counters

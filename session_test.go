@@ -9,11 +9,9 @@ import (
 	scar "example.com/scar"
 )
 
-// TestNewAPIBitIdenticalToDeprecated is the acceptance criterion: an
-// uncancelled Schedule(ctx, req) — and the Session form — returns
-// bit-identical results to the pre-context positional wrapper across
-// scenarios.
-func TestNewAPIBitIdenticalToDeprecated(t *testing.T) {
+// TestRequestAndSessionBitIdentical: an uncancelled Schedule(ctx, req)
+// and the Session form return bit-identical results across scenarios.
+func TestRequestAndSessionBitIdentical(t *testing.T) {
 	sched := scar.NewScheduler(scar.FastOptions())
 	for _, n := range []int{1, 6, 9} {
 		sc, err := scar.ScenarioByNumber(n)
@@ -29,10 +27,6 @@ func TestNewAPIBitIdenticalToDeprecated(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		old, err := sched.ScheduleScenario(&sc, pkg, scar.EDPObjective())
-		if err != nil {
-			t.Fatalf("scenario %d: deprecated wrapper: %v", n, err)
-		}
 		req, err := sched.Schedule(context.Background(), scar.NewRequest(&sc, pkg, scar.EDPObjective()))
 		if err != nil {
 			t.Fatalf("scenario %d: request API: %v", n, err)
@@ -50,22 +44,22 @@ func TestNewAPIBitIdenticalToDeprecated(t *testing.T) {
 			if res.Partial {
 				t.Errorf("scenario %d: %s API reported Partial without cancellation", n, label)
 			}
-			if !reflect.DeepEqual(old.Schedule, res.Schedule) {
-				t.Errorf("scenario %d: %s API schedule differs from deprecated wrapper", n, label)
-			}
-			if !reflect.DeepEqual(old.Metrics, res.Metrics) {
-				t.Errorf("scenario %d: %s API metrics differ: %+v vs %+v", n, label, old.Metrics, res.Metrics)
-			}
-			if old.WindowEvals != res.WindowEvals || old.UniqueWindows != res.UniqueWindows {
-				t.Errorf("scenario %d: %s API stats differ: (%d,%d) vs (%d,%d)", n, label,
-					old.WindowEvals, old.UniqueWindows, res.WindowEvals, res.UniqueWindows)
-			}
+		}
+		if !reflect.DeepEqual(req.Schedule, viaSession.Schedule) {
+			t.Errorf("scenario %d: session API schedule differs from request API", n)
+		}
+		if !reflect.DeepEqual(req.Metrics, viaSession.Metrics) {
+			t.Errorf("scenario %d: session API metrics differ: %+v vs %+v", n, req.Metrics, viaSession.Metrics)
+		}
+		if req.WindowEvals != viaSession.WindowEvals || req.UniqueWindows != viaSession.UniqueWindows {
+			t.Errorf("scenario %d: session API stats differ: (%d,%d) vs (%d,%d)", n,
+				req.WindowEvals, req.UniqueWindows, viaSession.WindowEvals, viaSession.UniqueWindows)
 		}
 	}
 }
 
-// TestSessionUnifiesPerPairSurface: every Session method agrees with its
-// deprecated positional counterpart on one shared compiled state.
+// TestSessionUnifiesPerPairSurface: every per-pair operation runs on one
+// Session's shared compiled state and agrees with the search's results.
 func TestSessionUnifiesPerPairSurface(t *testing.T) {
 	sched := scar.NewScheduler(scar.FastOptions())
 	sc, _ := scar.ScenarioByNumber(1)
@@ -89,28 +83,17 @@ func TestSessionUnifiesPerPairSurface(t *testing.T) {
 		t.Errorf("session Evaluate EDP %v != search %v", m.EDP, res.Metrics.EDP)
 	}
 
-	// Baselines agree with the deprecated wrappers.
-	_, sesStand, err := ses.Standalone()
+	// The baselines run on the session state.
+	_, stand, err := ses.Standalone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, oldStand, err := sched.Standalone(&sc, pkg)
+	_, nb, err := ses.NNBaton()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sesStand, oldStand) {
-		t.Errorf("Standalone differs: %+v vs %+v", sesStand, oldStand)
-	}
-	_, sesNB, err := ses.NNBaton()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, oldNB, err := sched.NNBaton(&sc, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sesNB, oldNB) {
-		t.Errorf("NNBaton differs: %+v vs %+v", sesNB, oldNB)
+	if stand.LatencySec <= 0 || nb.LatencySec <= 0 {
+		t.Errorf("baselines produced non-positive latency: standalone %+v, NN-baton %+v", stand, nb)
 	}
 
 	// LinkLoads and Timeline run on the session state.
